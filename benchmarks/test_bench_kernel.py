@@ -1,10 +1,13 @@
-"""Microbenchmarks of the phase timing kernel (vector vs scalar).
+"""Microbenchmarks of the phase timing kernel (vector vs scalar oracle).
 
 Unlike the figure benchmarks, these measure the kernel itself -- one
 phase evaluation at a pinned IPC (a single utilization -> waiting-time
 -> AMAT pass) and the full damped fixed point -- with trace synthesis,
-calibration, and Step B excluded. Run with ``--benchmark-json`` to feed
-the CI perf-smoke artifact::
+calibration, and Step B excluded. The scalar side is the per-route
+oracle of the equivalence suite (``tests/test_sim/scalar_oracle.py``);
+``benchmarks/compare_bench.py`` gates the scalar/vector ratio of each
+pair's fastest round against ``BENCH_fig8.json``. Run with
+``--benchmark-json``::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_kernel.py \
         --benchmark-json bench-kernel.json
@@ -15,8 +18,10 @@ import pytest
 from repro.config import starnuma_config
 from repro.placement import first_touch_placement
 from repro.sim import SimulationSetup, Simulator
-from repro.sim.timing import FixedPointSettings, PhaseTimingModel
+from repro.sim.timing import PhaseTimingModel
 from repro.workloads import WORKLOADS
+
+from tests.test_sim.scalar_oracle import ScalarPhaseTimingModel
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +39,10 @@ def world():
 
 def _model(world, kernel: str) -> PhaseTimingModel:
     star, setup, simulator, _, _ = world
-    return PhaseTimingModel(star, simulator.topology, simulator.routes,
-                            setup.population,
-                            FixedPointSettings(kernel=kernel))
+    model_class = {"vector": PhaseTimingModel,
+                   "scalar": ScalarPhaseTimingModel}[kernel]
+    return model_class(star, simulator.topology, simulator.routes,
+                       setup.population)
 
 
 def test_bench_single_evaluate_vector(world, benchmark):

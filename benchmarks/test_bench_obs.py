@@ -18,7 +18,7 @@ from repro.config import starnuma_config
 from repro.obs import OBS, MemorySink, NullSink, shutdown
 from repro.placement import first_touch_placement
 from repro.sim import SimulationSetup, Simulator
-from repro.sim.timing import FixedPointSettings, PhaseTimingModel
+from repro.sim.timing import PhaseTimingModel
 from repro.workloads import WORKLOADS
 
 
@@ -33,8 +33,7 @@ def world():
     page_map = first_touch_placement(setup.population.sharer_mask,
                                      star.n_sockets, has_pool=True)
     model = PhaseTimingModel(star, simulator.topology, simulator.routes,
-                             setup.population,
-                             FixedPointSettings(kernel="vector"))
+                             setup.population)
     return model, setup.traces[1], page_map, calibration
 
 

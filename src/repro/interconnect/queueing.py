@@ -16,7 +16,7 @@ simply keeps the iteration monotone and finite on the way there.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -90,10 +90,9 @@ def mdl_wait_ns(utilization: float, service_ns: float,
 
 def mdl_wait_ns_array(utilization: np.ndarray, service_ns: np.ndarray,
                       max_utilization: float = MAX_STABLE_UTILIZATION,
-                      burstiness: Union[float, np.ndarray] = 1.0,
+                      burstiness: float = 1.0,
                       out: Optional[np.ndarray] = None,
-                      scratch: Optional[np.ndarray] = None,
-                      mask: Optional[np.ndarray] = None) -> np.ndarray:
+                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Whole-vector :func:`mdl_wait_ns` over per-slot arrays.
 
     Evaluates the identical expressions branch for branch -- analytic
@@ -101,32 +100,19 @@ def mdl_wait_ns_array(utilization: np.ndarray, service_ns: np.ndarray,
     at or below zero utilization -- so each element agrees with the
     scalar function to the last bit.
 
-    Shapes broadcast elementwise, so a stacked ``(lanes, slots)``
-    utilization matrix against a ``(slots,)`` service vector (and an
-    optional per-lane ``(lanes, 1)`` burstiness column) evaluates every
-    sweep lane in one call; each row is bit-identical to evaluating that
-    lane's ``(slots,)`` vectors alone, because every operation is
-    elementwise.
-
     When ``out`` is given the result is written into it and no float
     arrays are allocated (``scratch`` provides the one intermediate
     buffer; it is allocated once if omitted). The ``out`` path performs
     the same IEEE operations in the same order as the allocating path,
     so the results are bit-identical. ``out`` and ``scratch`` must have
-    the broadcast result shape and must not alias ``utilization`` or
-    ``service_ns``; ``mask`` (same shape, bool) likewise avoids the two
-    boolean temporaries of the branch selection.
+    the result shape and must not alias ``utilization`` or
+    ``service_ns``.
     """
     if not 0.0 < max_utilization < 1.0:
         raise ValueError(
             f"max_utilization must be in (0, 1), got {max_utilization}"
         )
-    if isinstance(burstiness, (int, float)):
-        if burstiness <= 0.0:
-            raise ValueError(
-                f"burstiness must be positive, got {burstiness}"
-            )
-    elif np.any(np.asarray(burstiness) <= 0.0):
+    if burstiness <= 0.0:
         raise ValueError(f"burstiness must be positive, got {burstiness}")
     utilization = np.asarray(utilization, dtype=np.float64)
     base = max_utilization / (2.0 * (1.0 - max_utilization))
@@ -155,13 +141,7 @@ def mdl_wait_ns_array(utilization: np.ndarray, service_ns: np.ndarray,
     np.multiply(slope, scratch, out=scratch)
     np.add(base, scratch, out=scratch)
     np.multiply(service_ns, scratch, out=scratch)               # linear
-    if mask is None:
-        np.copyto(out, scratch, where=utilization >= max_utilization)
-        np.copyto(out, 0.0, where=utilization <= 0.0)
-    else:
-        np.greater_equal(utilization, max_utilization, out=mask)
-        np.copyto(out, scratch, where=mask)
-        np.less_equal(utilization, 0.0, out=mask)
-        np.copyto(out, 0.0, where=mask)
+    np.copyto(out, scratch, where=utilization >= max_utilization)
+    np.copyto(out, 0.0, where=utilization <= 0.0)
     np.multiply(out, burstiness, out=out)
     return out

@@ -19,6 +19,18 @@ from repro.metrics.report import format_table
 PHASE_SPAN = "sim.phase"
 
 
+def phase_order(phase: object) -> Tuple[int, str]:
+    """Sort key of a timeline phase: numeric order, non-numbers last.
+
+    The same order ``starnuma query timeline`` applies in SQL
+    (``CAST(phase AS INTEGER)``), so phase 10 follows phase 9 in both.
+    """
+    try:
+        return (int(phase), str(phase))  # type: ignore[call-overload]
+    except (TypeError, ValueError):
+        return (1 << 30, str(phase))
+
+
 def iter_trace(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
     """Yield the records of a JSONL trace one line at a time.
 
@@ -114,7 +126,7 @@ def render_summary(summary: Dict[str, object], width: int = 40) -> str:
         items: List[Tuple[str, float]] = [
             (f"phase {phase}", _format_ms(total))
             for phase, total in sorted(phase_ns.items(),
-                                       key=lambda kv: str(kv[0]))
+                                       key=lambda kv: phase_order(kv[0]))
         ]
         parts.append("")
         parts.append(bar_chart(items, width=width,

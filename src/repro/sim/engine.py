@@ -132,6 +132,10 @@ class SimulationSetup:
 class Simulator:
     """Runs Steps B and C for one (workload, system) pair."""
 
+    #: Step C model built per fault state; the kernel equivalence suite
+    #: substitutes its per-route scalar oracle here.
+    timing_model = PhaseTimingModel
+
     def __init__(self, system: SystemConfig, setup: SimulationSetup,
                  settings: Optional[FixedPointSettings] = None,
                  replication: Optional["ReplicationPlan"] = None,
@@ -150,7 +154,7 @@ class Simulator:
         self.faults.validate(self.topology)
         self._settings = settings
         self._replication = replication
-        self.timing = PhaseTimingModel(
+        self.timing = self.timing_model(
             system, self.topology, self.routes, setup.population, settings,
             replication=replication,
         )
@@ -174,7 +178,7 @@ class Simulator:
         if state not in self._fault_timing:
             topology = faulted_topology(self.topology, state)
             routes = RouteTable(topology)
-            self._fault_timing[state] = PhaseTimingModel(
+            self._fault_timing[state] = self.timing_model(
                 self.system, topology, routes,
                 self.setup.population, self._settings,
                 replication=self._replication,

@@ -21,17 +21,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.config import CoreConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.config.parameters import CACHE_BLOCK_BYTES, PAGE_SIZE_BYTES
 from repro.interconnect.loads import MESSAGE_HEADER_BYTES, LinkLoads
-from repro.interconnect.queueing import (
-    MAX_STABLE_UTILIZATION,
-    mdl_wait_ns_array,
-)
 from repro.metrics.breakdown import AccessBreakdown
 from repro.metrics.calibration import CalibratedCpi
 from repro.migration.costs import MigrationCostModel
@@ -43,10 +39,9 @@ from repro.placement.pagemap import PageMap
 from repro.topology.model import (
     POOL_LOCATION,
     AccessType,
-    LinkKind,
     Topology,
 )
-from repro.topology.routing import Route, RouteTable
+from repro.topology.routing import RouteTable
 from repro.trace.records import PhaseTrace
 from repro.workloads.population import PagePopulation
 
@@ -72,33 +67,12 @@ class FixedPointSettings:
     #: Arrival-burstiness multiplier fed to the queueing model (defaults
     #: to :data:`repro.interconnect.queueing.DEFAULT_BURSTINESS`).
     burstiness: Optional[float] = None
-    #: Which AMAT evaluation runs inside the fixed point: ``"vector"``
-    #: (array kernel over the route-incidence matrix, the default),
-    #: ``"scalar"`` (the historical per-route Python loop, kept as the
-    #: reference implementation for the equivalence suite),
-    #: ``"batched"`` (the vector kernel per phase, plus eligibility for
-    #: sweep-level lane stacking via :mod:`repro.sim.batch`), or
-    #: ``"batched-jit"`` (same, with a numba-compiled masked inner loop
-    #: that degrades gracefully to the numpy path when numba is absent).
-    kernel: str = "vector"
-
-    #: Kernel names accepted by :attr:`kernel`.
-    KERNELS = ("vector", "scalar", "batched", "batched-jit")
 
     def __post_init__(self) -> None:
         if self.burstiness is None:
             from repro.interconnect.queueing import DEFAULT_BURSTINESS
 
             self.burstiness = DEFAULT_BURSTINESS
-        if self.kernel not in self.KERNELS:
-            raise ValueError(
-                f"kernel must be one of {self.KERNELS}, got {self.kernel!r}"
-            )
-
-    @property
-    def uses_vector_weights(self) -> bool:
-        """Whether per-phase evaluation runs on the array kernel."""
-        return self.kernel != "scalar"
 
 
 class _VectorKernel:
@@ -109,7 +83,7 @@ class _VectorKernel:
     by :meth:`RouteTable.fingerprint`, so fault states whose reroutes
     collapse to identical surviving geometry share one compiled
     incidence (see :func:`_compiled_kernel`). Rows are the access
-    families the scalar kernel iterates:
+    families a per-route loop would iterate:
 
     * ``demand`` rows, one per (socket, location column) pair;
     * ``bt-socket`` rows, one per (requester, home) pair (the data leg
@@ -117,8 +91,8 @@ class _VectorKernel:
     * ``bt-pool`` rows, one per socket, pre-scaled by the pool
       contention factor.
 
-    ``incidence[r] @ wait_ns_vector`` reproduces the scalar kernel's
-    request+fill queueing sum of family ``r``'s route; the per-phase
+    ``incidence[r] @ wait_ns_vector`` is the request+fill queueing sum
+    along family ``r``'s route (DRAM queues counted once); the per-phase
     contraction ``counts @ incidence`` collapses all families into one
     charge vector, making each fixed-point iteration a single
     utilization -> waiting-time -> dot-product pipeline.
@@ -218,7 +192,7 @@ class _VectorKernel:
         Charges demand, socket-homed block transfers, pool-homed
         transfer legs, and tracker traffic as a handful of
         matrix-vector contractions against the per-slot byte vector --
-        the array equivalent of the scalar kernel's per-route
+        the array equivalent of per-route
         ``add_access_traffic``/``add_transfer_traffic`` loops.
         """
         if not self.has_pool and classification.demand_to_pool() > 0:
@@ -281,8 +255,8 @@ class _VectorKernel:
 #: kernel is immutable after construction and reads nothing per-phase,
 #: so models whose route tables hash identically (e.g. consecutive
 #: fault states that reroute to the same surviving geometry, or the
-#: many sweep lanes sharing one config) can share one instance. Bounded
-#: LRU: a 16-socket kernel's matrices run to a few MB.
+#: simulators of every workload on one system) can share one instance.
+#: Bounded LRU: a 16-socket kernel's matrices run to a few MB.
 _KERNEL_CACHE: "OrderedDict[str, _VectorKernel]" = OrderedDict()
 _KERNEL_CACHE_LIMIT = 16
 
@@ -327,8 +301,8 @@ class PhaseTimingModel:
         """The compiled array kernel of this model (built on first use).
 
         Resolved through the fingerprint-keyed module cache, so models
-        with identical route geometry (repeated fault states, sweep
-        lanes of one config) share one compiled kernel.
+        with identical route geometry (repeated fault states, every
+        workload on one system) share one compiled kernel.
         """
         if self._kernel is None:
             self._kernel = _compiled_kernel(self)
@@ -349,15 +323,13 @@ class PhaseTimingModel:
         baseline runs at its published IPC.
         """
         obs_span = OBS.span("sim.phase", phase=trace.phase,
-                            kernel=self.settings.kernel,
                             loop="open" if fixed_ipc is not None
                             else "closed")
         with obs_span:
             classification = classify_phase(trace.counts, page_map,
                                             self.population,
                                             self.replication)
-            with OBS.span("sim.charge", phase=trace.phase,
-                          kernel=self.settings.kernel):
+            with OBS.span("sim.charge", phase=trace.phase):
                 loads = self._build_loads(classification, batch)
             stall_total_ns, extra_cpi = self._migration_overheads(trace,
                                                                   batch)
@@ -366,11 +338,7 @@ class PhaseTimingModel:
                 if classification.total_accesses else 0.0
             )
 
-            weights = None
-            if self.settings.uses_vector_weights:
-                weights = self._vector_kernel().phase_weights(
-                    classification
-                )
+            weights = self._vector_kernel().phase_weights(classification)
 
             if fixed_ipc is not None:
                 ipc = fixed_ipc
@@ -402,8 +370,7 @@ class PhaseTimingModel:
             OBS.observe("sim.fixed_point.iterations_per_phase",
                         iterations)
             OBS.event(
-                "sim.timing", phase=trace.phase,
-                kernel=self.settings.kernel, ipc=ipc, amat_ns=amat_ns,
+                "sim.timing", phase=trace.phase, ipc=ipc, amat_ns=amat_ns,
                 unloaded_amat_ns=unloaded_ns, duration_ns=duration,
                 iterations=iterations, converged=converged,
                 total_accesses=classification.total_accesses,
@@ -430,128 +397,6 @@ class PhaseTimingModel:
             hottest_links=hottest,
         )
 
-    # -- batched seam --------------------------------------------------------
-
-    def phase_inputs(self, trace: PhaseTrace, page_map: PageMap,
-                     batch: Optional[MigrationBatch] = None) -> "PhaseInputs":
-        """Collect one phase's IPC-independent state for a stacked solve.
-
-        Performs classification, link charging, and the per-phase
-        contractions of :meth:`evaluate` -- everything except the fixed
-        point itself -- with the identical operations, so a batched
-        solve over the result is bit-identical to :meth:`evaluate`.
-        Pairs with :meth:`finish_phase`.
-        """
-        classification = classify_phase(trace.counts, page_map,
-                                        self.population, self.replication)
-        with OBS.span("sim.charge", phase=trace.phase,
-                      kernel=self.settings.kernel):
-            loads = self._build_loads(classification, batch)
-        stall_total_ns, extra_cpi = self._migration_overheads(trace, batch)
-        stall_per_access = (
-            stall_total_ns / classification.total_accesses
-            if classification.total_accesses else 0.0
-        )
-        charge, weighted_unloaded = self._vector_kernel().phase_weights(
-            classification
-        )
-        penalty = 0.0
-        if (self.replication is not None
-                and classification.replicated_writes
-                and classification.total_accesses):
-            penalty = (classification.replicated_writes
-                       * self.replication.write_penalty_ns
-                       ) / classification.total_accesses
-        return PhaseInputs(
-            trace=trace,
-            classification=classification,
-            loads=loads,
-            batch=batch,
-            charge=charge,
-            weighted_unloaded=weighted_unloaded,
-            stall_per_access=stall_per_access,
-            extra_cpi=extra_cpi,
-            replication_penalty_ns=penalty,
-        )
-
-    def batched_lane(self, inputs: "PhaseInputs",
-                     calibration: Optional[CalibratedCpi],
-                     initial_ipc: Optional[float] = None,
-                     fixed_ipc: Optional[float] = None) -> "BatchedLane":
-        """Package :meth:`phase_inputs` output as one stacked-solver lane."""
-        index = self.topology.link_index()
-        return BatchedLane(
-            n_slots=index.n_slots,
-            weighted_unloaded=inputs.weighted_unloaded,
-            total=float(inputs.classification.total_accesses),
-            stall_per_access=inputs.stall_per_access,
-            replication_penalty_ns=inputs.replication_penalty_ns,
-            extra_cpi=inputs.extra_cpi,
-            local_ns=self.system.latency.local_ns,
-            instructions_per_thread=inputs.trace.instructions_per_thread,
-            core=self.system.core,
-            calibration=calibration,
-            initial_ipc=initial_ipc or self.population.profile.ipc_16,
-            fixed_ipc=fixed_ipc,
-            charge=inputs.charge,
-            bytes_vec=inputs.loads.bytes_vector,
-            capacity=index.capacity_gbps,
-            service=index.service_ns,
-        )
-
-    def finish_phase(self, inputs: "PhaseInputs", ipc: float,
-                     amat_ns: float, unloaded_ns: float,
-                     iterations: int, converged: bool) -> PhaseTiming:
-        """Assemble the :class:`PhaseTiming` of a batch-solved phase.
-
-        Mirrors the tail of :meth:`evaluate` (breakdown, duration,
-        hottest links, obs emission) so batched results are
-        indistinguishable from solo ones.
-        """
-        trace = inputs.trace
-        classification = inputs.classification
-        batch = inputs.batch
-        breakdown = self._breakdown(classification)
-        duration = self._duration_ns(ipc, trace)
-        busiest = inputs.loads.busiest(duration, top=3)
-        hottest = {
-            sample.link_id: sample.utilization
-            for sample in busiest
-        }
-        if OBS.enabled:
-            OBS.counter("sim.phases")
-            OBS.counter("sim.fixed_point.iterations", iterations)
-            OBS.observe("sim.fixed_point.iterations_per_phase",
-                        iterations)
-            OBS.event(
-                "sim.timing", phase=trace.phase,
-                kernel=self.settings.kernel, ipc=ipc, amat_ns=amat_ns,
-                unloaded_amat_ns=unloaded_ns, duration_ns=duration,
-                iterations=iterations, converged=converged,
-                total_accesses=classification.total_accesses,
-                migrated_pages=batch.n_pages if batch else 0,
-            )
-            if busiest:
-                OBS.event(
-                    "interconnect.utilization", phase=trace.phase,
-                    top=[sample.as_attrs() for sample in busiest],
-                )
-        return PhaseTiming(
-            phase=trace.phase,
-            ipc=ipc,
-            duration_ns=duration,
-            amat_ns=amat_ns,
-            unloaded_amat_ns=unloaded_ns,
-            breakdown=breakdown,
-            total_accesses=classification.total_accesses,
-            migrated_pages=batch.n_pages if batch else 0,
-            migrated_pages_to_pool=batch.pages_to_pool if batch else 0,
-            migration_stall_ns_per_access=inputs.stall_per_access,
-            fixed_point_iterations=iterations,
-            converged=converged,
-            hottest_links=hottest,
-        )
-
     # -- loading -------------------------------------------------------------
 
     def _duration_ns(self, ipc: float, trace: PhaseTrace) -> float:
@@ -564,65 +409,10 @@ class PhaseTimingModel:
     def _build_loads(self, classification: PhaseClassification,
                      batch: Optional[MigrationBatch]) -> LinkLoads:
         loads = LinkLoads(self.topology, burstiness=self.settings.burstiness)
-        if self.settings.uses_vector_weights:
-            self._vector_kernel().charge(classification, loads)
-        else:
-            self._build_loads_scalar(classification, loads)
+        self._vector_kernel().charge(classification, loads)
         if batch is not None:
             self._charge_migrations(loads, batch)
         return loads
-
-    def _build_loads_scalar(self, classification: PhaseClassification,
-                            loads: LinkLoads) -> None:
-        n_sockets = classification.n_sockets
-
-        for socket in range(n_sockets):
-            for column in range(n_sockets + 1):
-                count = classification.demand[socket, column]
-                if count <= 0:
-                    continue
-                location = self._location_of_column(column)
-                if location == POOL_LOCATION and not self.topology.has_pool:
-                    raise ValueError("pool accesses on a pool-less system")
-                writes = classification.demand_writes[socket, column]
-                loads.add_access_traffic(
-                    self.routes.route(socket, location),
-                    accesses=count,
-                    writeback_fraction=writes / count,
-                )
-
-            # Socket-homed block transfers: the dominant data hop runs
-            # owner -> requester; we charge it along the requester<->home
-            # route as a proxy for the averaged three-leg path.
-            for home in range(n_sockets):
-                count = classification.bt_socket[socket, home]
-                if count <= 0 or home == socket:
-                    continue
-                loads.add_transfer_traffic(
-                    self.routes.route(socket, home)[:-1],  # no DRAM hop
-                    transfers=count,
-                )
-
-        if self.topology.has_pool:
-            for socket in range(n_sockets):
-                down = classification.bt_pool[socket]
-                up = classification.bt_pool_owner[socket]
-                if down <= 0 and up <= 0:
-                    continue
-                cxl = self.routes.route(socket, POOL_LOCATION)[0]
-                # Data to the requester flows pool -> socket (reverse of
-                # the request route); the owner's supply flows socket ->
-                # pool (forward).
-                loads.add(cxl.reversed(), down * (64 + MESSAGE_HEADER_BYTES))
-                loads.add(cxl, up * (64 + MESSAGE_HEADER_BYTES))
-
-            # Tracker-update traffic (StarNUMA's monitoring hardware).
-            for socket in range(n_sockets):
-                issued = float(classification.demand[socket].sum()
-                               + classification.bt_socket[socket].sum()
-                               + classification.bt_pool[socket])
-                dram = self.routes.route(socket, socket)[0]
-                loads.add(dram, issued * TRACKER_BYTES_PER_ACCESS)
 
     def _charge_migrations(self, loads: LinkLoads,
                            batch: MigrationBatch) -> None:
@@ -646,34 +436,14 @@ class PhaseTimingModel:
 
     # -- AMAT ----------------------------------------------------------------
 
-    def _route_delay_ns(self, route: Route, loads: LinkLoads,
-                        window_ns: float) -> float:
-        """Request+fill queueing along a route; DRAM queues counted once."""
-        total = 0.0
-        for hop in route:
-            if hop.link.kind is LinkKind.DRAM:
-                total += loads.delay_ns(hop, window_ns)
-            else:
-                total += loads.delay_ns(hop, window_ns)
-                total += loads.delay_ns(hop.reversed(), window_ns)
-        return total
-
     def _amat_at(self, ipc: float, trace: PhaseTrace,
                  classification: PhaseClassification, loads: LinkLoads,
-                 stall_per_access: float,
-                 weights: Optional[tuple] = None) -> tuple:
-        """Loaded and unloaded AMAT at one IPC guess (kernel dispatch)."""
-        if weights is not None:
-            return self._amat_at_vector(ipc, trace, classification, loads,
-                                        stall_per_access, weights)
-        return self._amat_at_scalar(ipc, trace, classification, loads,
-                                    stall_per_access)
+                 stall_per_access: float, weights: tuple) -> tuple:
+        """Loaded and unloaded AMAT at one IPC guess.
 
-    def _amat_at_vector(self, ipc: float, trace: PhaseTrace,
-                        classification: PhaseClassification,
-                        loads: LinkLoads, stall_per_access: float,
-                        weights: tuple) -> tuple:
-        """Array kernel: one waiting-time vector, one dot product."""
+        One waiting-time vector, one dot product against the phase's
+        contracted charge vector (see :meth:`_VectorKernel.phase_weights`).
+        """
         total = classification.total_accesses
         if total == 0:
             local = self.system.latency.local_ns
@@ -685,66 +455,6 @@ class PhaseTimingModel:
         # dot product before the next iteration overwrites it.
         wait = loads.wait_ns_vector(window, reuse_scratch=True)
         weighted_loaded = weighted_unloaded + float(charge @ wait)
-        amat = weighted_loaded / total + stall_per_access
-        unloaded_amat = weighted_unloaded / total
-        return self._apply_replication_penalty(classification, total,
-                                               amat, unloaded_amat)
-
-    def _amat_at_scalar(self, ipc: float, trace: PhaseTrace,
-                        classification: PhaseClassification,
-                        loads: LinkLoads, stall_per_access: float) -> tuple:
-        window = self._duration_ns(ipc, trace)
-        latency = self.system.latency
-        n_sockets = classification.n_sockets
-
-        weighted_loaded = 0.0
-        weighted_unloaded = 0.0
-
-        for socket in range(n_sockets):
-            for column in range(n_sockets + 1):
-                count = classification.demand[socket, column]
-                if count <= 0:
-                    continue
-                location = self._location_of_column(column)
-                kind = self.topology.classify(socket, location)
-                unloaded = (self.topology.unloaded_latency_ns(kind)
-                            + self.routes.detour_penalty_ns(socket, location))
-                route = self.routes.route(socket, location)
-                loaded = unloaded + self._route_delay_ns(route, loads, window)
-                weighted_loaded += count * loaded
-                weighted_unloaded += count * unloaded
-
-            for home in range(n_sockets):
-                count = classification.bt_socket[socket, home]
-                if count <= 0:
-                    continue
-                unloaded = self.topology.unloaded_latency_ns(
-                    AccessType.BLOCK_TRANSFER_SOCKET
-                )
-                if home == socket:
-                    contention = 0.0
-                else:
-                    contention = self._route_delay_ns(
-                        self.routes.route(socket, home)[:-1], loads, window
-                    )
-                weighted_loaded += count * (unloaded + contention)
-                weighted_unloaded += count * unloaded
-
-            count = classification.bt_pool[socket]
-            if count > 0:
-                unloaded = self.topology.unloaded_latency_ns(
-                    AccessType.BLOCK_TRANSFER_POOL
-                )
-                contention = BT_POOL_CONTENTION_FACTOR * self._route_delay_ns(
-                    self.routes.route(socket, POOL_LOCATION), loads, window
-                )
-                weighted_loaded += count * (unloaded + contention)
-                weighted_unloaded += count * unloaded
-
-        total = classification.total_accesses
-        if total == 0:
-            local = latency.local_ns
-            return local, local
         amat = weighted_loaded / total + stall_per_access
         unloaded_amat = weighted_unloaded / total
         return self._apply_replication_penalty(classification, total,
@@ -767,7 +477,7 @@ class PhaseTimingModel:
                      stall_per_access: float, calibration: CalibratedCpi,
                      extra_cpi: float,
                      initial_ipc: Optional[float],
-                     weights: Optional[tuple] = None) -> tuple:
+                     weights: tuple) -> tuple:
         settings = self.settings
         core = self.system.core
         ipc = initial_ipc or self.population.profile.ipc_16
@@ -799,8 +509,8 @@ class PhaseTimingModel:
         if residuals is None:
             return
         OBS.detail("sim.fixed_point", phase=trace.phase,
-                   kernel=self.settings.kernel, iterations=iterations,
-                   converged=converged, residuals=residuals)
+                   iterations=iterations, converged=converged,
+                   residuals=residuals)
 
     # -- overheads -----------------------------------------------------------
 
@@ -840,481 +550,3 @@ class PhaseTimingModel:
         if bt_pool_total:
             breakdown.add(AccessType.BLOCK_TRANSFER_POOL, bt_pool_total)
         return breakdown
-
-
-# -- sweep-level batching ----------------------------------------------------
-
-
-@dataclass
-class PhaseInputs:
-    """IPC-independent pieces of one phase's Step-C evaluation.
-
-    Produced by :meth:`PhaseTimingModel.phase_inputs` so a sweep batch
-    (:mod:`repro.sim.batch`) can collect every lane's charge state up
-    front and run one stacked fixed point across lanes; consumed by
-    :meth:`PhaseTimingModel.finish_phase` after the solve.
-    """
-
-    trace: PhaseTrace
-    classification: PhaseClassification
-    loads: LinkLoads
-    batch: Optional[MigrationBatch]
-    charge: np.ndarray
-    weighted_unloaded: float
-    stall_per_access: float
-    extra_cpi: float
-    replication_penalty_ns: float
-
-
-@dataclass
-class BatchedLane:
-    """One lane (sweep point) of a stacked fixed point, for one phase.
-
-    Array fields hold the lane's *unpadded* per-slot vectors (length
-    ``n_slots``); the solver pads to the group width with exact-zero
-    contributions (bytes/charge 0, capacity/service 1, so utilization
-    and wait are 0 on padded slots). They may be omitted when the
-    caller supplies pre-stacked matrices (the shared-memory path).
-    """
-
-    n_slots: int
-    weighted_unloaded: float
-    total: float
-    stall_per_access: float
-    replication_penalty_ns: float
-    extra_cpi: float
-    local_ns: float
-    instructions_per_thread: float
-    core: "CoreConfig"
-    calibration: Optional[CalibratedCpi]
-    initial_ipc: float
-    fixed_ipc: Optional[float] = None
-    charge: Optional[np.ndarray] = None
-    bytes_vec: Optional[np.ndarray] = None
-    capacity: Optional[np.ndarray] = None
-    service: Optional[np.ndarray] = None
-
-
-class _BatchedKernel:
-    """Masked, stacked fixed point across the lanes of one phase.
-
-    Stacks every lane's per-slot byte/capacity/service/charge vectors
-    into ``(lanes, width)`` matrices (padded as described on
-    :class:`BatchedLane`) and iterates the damped AMAT<->IPC loop over
-    all lanes at once: per iteration, one gathered elementwise
-    utilization -> waiting-time evaluation over the still-active rows,
-    then a per-lane scalar tail that mirrors the solo loop's float
-    arithmetic operation for operation. Converged lanes are masked out
-    of the next iteration's gather instead of exiting the loop.
-
-    Because the matrix stage is elementwise (each row sees exactly the
-    arithmetic the solo vector kernel would run on its own vectors) and
-    the reduction collapses into one batched ``(lanes, 1, width) @
-    (lanes, width, 1)`` matmul whose per-row BLAS kernel matches the
-    solo path's ``charge @ wait`` (per-lane sliced dots when lane
-    widths differ), with Python-float tail updates mirroring
-    :meth:`PhaseTimingModel._fixed_point`, every lane's result is
-    bit-identical to evaluating that lane alone with
-    ``kernel="vector"``.
-    """
-
-    def __init__(self, lanes: Sequence[BatchedLane],
-                 settings: FixedPointSettings,
-                 stacks: Optional[tuple] = None):
-        if not lanes:
-            raise ValueError("batched kernel needs at least one lane")
-        self.lanes = list(lanes)
-        self.settings = settings
-        n = len(self.lanes)
-        if stacks is not None:
-            self.bytes, self.capacity, self.service, self.charge = stacks
-            if self.bytes.shape[0] != n:
-                raise ValueError(
-                    f"stacks carry {self.bytes.shape[0]} lanes, "
-                    f"expected {n}"
-                )
-            self.width = self.bytes.shape[1]
-        else:
-            self.width = max(lane.n_slots for lane in self.lanes)
-            shape = (n, self.width)
-            self.bytes = np.zeros(shape, dtype=np.float64)
-            self.capacity = np.ones(shape, dtype=np.float64)
-            self.service = np.ones(shape, dtype=np.float64)
-            self.charge = np.zeros(shape, dtype=np.float64)
-            for row, lane in enumerate(self.lanes):
-                if (lane.bytes_vec is None or lane.capacity is None
-                        or lane.service is None or lane.charge is None):
-                    raise ValueError(
-                        "lane arrays required when stacks are not given"
-                    )
-                s = lane.n_slots
-                self.bytes[row, :s] = lane.bytes_vec
-                self.capacity[row, :s] = lane.capacity
-                self.service[row, :s] = lane.service
-                self.charge[row, :s] = lane.charge
-        # Iteration scratch, allocated once per solver and reused by
-        # every iteration's gather/evaluate (satellite of the
-        # allocation-churn fix; see LinkLoads.wait_ns_vector for the
-        # solo-path equivalent).
-        shape = (n, self.width)
-        self._gather_bytes = np.empty(shape, dtype=np.float64)
-        self._gather_cap = np.empty(shape, dtype=np.float64)
-        self._gather_service = np.empty(shape, dtype=np.float64)
-        self._util = np.empty(shape, dtype=np.float64)
-        self._wait = np.empty(shape, dtype=np.float64)
-        self._tmp = np.empty(shape, dtype=np.float64)
-        self._mask = np.empty(shape, dtype=np.bool_)
-        self._windows = np.empty(n, dtype=np.float64)
-        self._wincap = np.empty(shape, dtype=np.float64)
-        self._gather_charge = np.empty(shape, dtype=np.float64)
-        self._dots = np.empty(n, dtype=np.float64)
-        self._last_active: Optional[tuple] = None
-        self._uniform = all(lane.n_slots == self.width
-                            for lane in self.lanes)
-
-    def load(self, lanes: Sequence[BatchedLane]) -> None:
-        """Refill the stacks for a new phase, reusing every buffer.
-
-        The lane count and stack width must match the solver's; the
-        padding is re-zeroed before the per-lane rows are written, so
-        the refilled state is indistinguishable from a fresh solver.
-        """
-        if len(lanes) != len(self.lanes):
-            raise ValueError(
-                f"solver holds {len(self.lanes)} lanes, got {len(lanes)}"
-            )
-        if max(lane.n_slots for lane in lanes) != self.width:
-            raise ValueError("stack width changed; build a new solver")
-        self.lanes = list(lanes)
-        self.bytes[:] = 0.0
-        self.capacity[:] = 1.0
-        self.service[:] = 1.0
-        self.charge[:] = 0.0
-        for row, lane in enumerate(self.lanes):
-            if (lane.bytes_vec is None or lane.capacity is None
-                    or lane.service is None or lane.charge is None):
-                raise ValueError(
-                    "lane arrays required when stacks are not given"
-                )
-            s = lane.n_slots
-            self.bytes[row, :s] = lane.bytes_vec
-            self.capacity[row, :s] = lane.capacity
-            self.service[row, :s] = lane.service
-            self.charge[row, :s] = lane.charge
-        self._last_active = None
-        self._uniform = all(lane.n_slots == self.width
-                            for lane in self.lanes)
-
-    def solve(self, jit: bool = False) -> List[tuple]:
-        """Per-lane ``(ipc, amat_ns, unloaded_ns, iterations, converged)``.
-
-        With ``jit`` the numba-compiled inner loop is used when numba
-        is importable; otherwise the numpy masked loop runs and a
-        ``sim.kernel.jit_fallback`` counter records the degradation.
-        """
-        if jit:
-            compiled = _jit_solver()
-            if compiled is not None:
-                return self._solve_jit(compiled)
-            OBS.counter("sim.kernel.jit_fallback")
-        return self._solve_numpy()
-
-    # -- numpy masked loop -------------------------------------------------
-
-    def _solve_numpy(self) -> List[tuple]:
-        lanes = self.lanes
-        settings = self.settings
-        n = len(lanes)
-        results: List[Optional[tuple]] = [None] * n
-        ipc = [lane.fixed_ipc if lane.fixed_ipc is not None
-               else lane.initial_ipc for lane in lanes]
-        last = [(0.0, 0.0)] * n
-        # Hoisted per-lane constants: the tail below inlines the
-        # ``CalibratedCpi.ipc`` / ``CoreConfig`` call chains with the
-        # identical float expressions (``ns * f``, ``c / f``,
-        # ``1 / (cpi_core + k * amat**alpha + extra)``), keeping every
-        # result bit-identical while dropping five Python calls per lane
-        # per iteration; dataclass attribute lookups move out of the
-        # loop the same way.
-        freq = [lane.core.frequency_ghz for lane in lanes]
-        instr = [lane.instructions_per_thread for lane in lanes]
-        total = [lane.total for lane in lanes]
-        slots = [lane.n_slots for lane in lanes]
-        wunl = [lane.weighted_unloaded for lane in lanes]
-        stall = [lane.stall_per_access for lane in lanes]
-        repl = [lane.replication_penalty_ns for lane in lanes]
-        local = [lane.local_ns for lane in lanes]
-        extra = [lane.extra_cpi for lane in lanes]
-        fixed = [lane.fixed_ipc for lane in lanes]
-        cal_core = [lane.calibration.cpi_core if lane.calibration else 0.0
-                    for lane in lanes]
-        cal_k = [lane.calibration.k_mem if lane.calibration else 0.0
-                 for lane in lanes]
-        cal_alpha = [lane.calibration.alpha if lane.calibration else 1.0
-                     for lane in lanes]
-        # The unloaded AMAT never depends on the IPC guess, so its two
-        # float ops (the same two the solo loop performs) hoist out of
-        # the iteration entirely.
-        unloaded = []
-        for i in range(n):
-            if total[i] == 0:
-                unloaded.append(local[i])
-            else:
-                u = wunl[i] / total[i]
-                if repl[i]:
-                    u += repl[i]
-                unloaded.append(u)
-        damping = settings.damping
-        undamped = 1.0 - settings.damping
-        tolerance = settings.tolerance
-        charge = self.charge
-        wait = self._wait
-        dot = np.dot
-        dots = self._dots
-        # When every lane fills the full stack width there is no padding
-        # to keep out of the reductions, so all the row dot products
-        # collapse into one batched matmul. BLAS evaluates each
-        # (1, width) @ (width, 1) slice with the same ddot kernel the
-        # solo path's ``charge @ wait`` uses, so the results are
-        # bit-identical (mixed-width groups fall back to per-lane sliced
-        # dots, which exclude the padding by construction).
-        uniform = self._uniform
-        matmul = np.matmul
-        active = list(range(n))
-        iteration = 0
-        while active:
-            iteration += 1
-            if iteration > settings.max_iterations:
-                for i in active:
-                    amat_ns, unloaded_ns = last[i]
-                    results[i] = (ipc[i], amat_ns, unloaded_ns,
-                                  settings.max_iterations, False)
-                break
-            k = len(active)
-            windows = self._windows[:k]
-            for row, i in enumerate(active):
-                windows[row] = (instr[i] / ipc[i]) / freq[i]
-            charge_rows = self._eval_wait(active, windows, k)
-            if uniform:
-                matmul(charge_rows[:, None, :], wait[:k, :, None],
-                       out=dots[:k, None, None])
-            still_active = []
-            for row, i in enumerate(active):
-                unloaded_ns = unloaded[i]
-                if total[i] == 0:
-                    amat_ns = local[i]
-                else:
-                    if uniform:
-                        queueing_ns = float(dots[row])
-                    else:
-                        s = slots[i]
-                        queueing_ns = float(dot(charge[i, :s],
-                                               wait[row, :s]))
-                    weighted_loaded = wunl[i] + queueing_ns
-                    amat_ns = weighted_loaded / total[i] + stall[i]
-                    if repl[i]:
-                        amat_ns += repl[i]
-                last[i] = (amat_ns, unloaded_ns)
-                if fixed[i] is not None:
-                    results[i] = (ipc[i], amat_ns, unloaded_ns, 0, True)
-                    continue
-                target = 1.0 / (
-                    cal_core[i]
-                    + cal_k[i] * (amat_ns * freq[i]) ** cal_alpha[i]
-                    + extra[i]
-                )
-                new_ipc = damping * target + undamped * ipc[i]
-                if abs(new_ipc - ipc[i]) <= tolerance * ipc[i]:
-                    results[i] = (new_ipc, amat_ns, unloaded_ns,
-                                  iteration, True)
-                else:
-                    ipc[i] = new_ipc
-                    still_active.append(i)
-            active = still_active
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
-
-    def _eval_wait(self, active: List[int], windows: np.ndarray,
-                   k: int) -> np.ndarray:
-        """Utilization -> wait over the active rows, into scratch.
-
-        Row ``r`` of the ``_wait`` scratch holds lane ``active[r]``'s
-        per-slot waiting times; every operation is elementwise and
-        bit-identical to the solo path (window * capacity, bytes over
-        that, then the M/D/1 array expression). Returns the charge rows
-        in the same order for the caller's batched contraction.
-        """
-        if k == len(self.lanes):
-            # All lanes still active: active is the identity permutation,
-            # so skip the gathers and read the stacks directly.
-            bytes_rows, cap_rows, service_rows, charge_rows = (
-                self.bytes, self.capacity, self.service, self.charge
-            )
-        else:
-            key = tuple(active)
-            if key != self._last_active:
-                # The active set only changes when a lane converges, so
-                # most iterations reuse the previous gather verbatim.
-                rows = np.asarray(active, dtype=np.intp)
-                self.bytes.take(rows, axis=0,
-                                out=self._gather_bytes[:k])
-                self.capacity.take(rows, axis=0,
-                                   out=self._gather_cap[:k])
-                self.service.take(rows, axis=0,
-                                  out=self._gather_service[:k])
-                self.charge.take(rows, axis=0,
-                                 out=self._gather_charge[:k])
-                self._last_active = key
-            bytes_rows = self._gather_bytes[:k]
-            cap_rows = self._gather_cap[:k]
-            service_rows = self._gather_service[:k]
-            charge_rows = self._gather_charge[:k]
-        np.multiply(windows[:, None], cap_rows, out=self._wincap[:k])
-        np.divide(bytes_rows, self._wincap[:k], out=self._util[:k])
-        mdl_wait_ns_array(
-            self._util[:k], service_rows,
-            burstiness=self.settings.burstiness,
-            out=self._wait[:k], scratch=self._tmp[:k],
-            mask=self._mask[:k],
-        )
-        return charge_rows
-
-    # -- numba-compiled loop -----------------------------------------------
-
-    def _solve_jit(self, compiled: Callable) -> List[tuple]:
-        lanes = self.lanes
-        settings = self.settings
-        n = len(lanes)
-
-        def per_lane(getter: Callable) -> np.ndarray:
-            return np.array([getter(lane) for lane in lanes],
-                            dtype=np.float64)
-
-        open_loop = np.array(
-            [lane.fixed_ipc is not None for lane in lanes], dtype=np.bool_
-        )
-        ipc0 = per_lane(lambda lane: lane.fixed_ipc
-                        if lane.fixed_ipc is not None else lane.initial_ipc)
-        cpi_core = per_lane(lambda lane: lane.calibration.cpi_core
-                            if lane.calibration else 0.0)
-        k_mem = per_lane(lambda lane: lane.calibration.k_mem
-                         if lane.calibration else 0.0)
-        alpha = per_lane(lambda lane: lane.calibration.alpha
-                         if lane.calibration else 1.0)
-        ipc, amat, unloaded, iters, conv = compiled(
-            self.bytes, self.capacity, self.service, self.charge,
-            np.array([lane.n_slots for lane in lanes], dtype=np.int64),
-            per_lane(lambda lane: lane.weighted_unloaded),
-            per_lane(lambda lane: lane.total),
-            per_lane(lambda lane: lane.stall_per_access),
-            per_lane(lambda lane: lane.replication_penalty_ns),
-            per_lane(lambda lane: lane.extra_cpi),
-            per_lane(lambda lane: lane.local_ns),
-            per_lane(lambda lane: lane.instructions_per_thread),
-            per_lane(lambda lane: lane.core.frequency_ghz),
-            cpi_core, k_mem, alpha, ipc0, open_loop,
-            settings.damping, settings.tolerance,
-            settings.max_iterations, float(settings.burstiness),
-            MAX_STABLE_UTILIZATION,
-        )
-        return [
-            (float(ipc[i]), float(amat[i]), float(unloaded[i]),
-             int(iters[i]), bool(conv[i]))
-            for i in range(n)
-        ]
-
-
-def _batched_lanes_loop(bytes_m, capacity_m, service_m, charge_m, n_slots,
-                        weighted_unloaded, total, stall, penalty,
-                        extra_cpi, local_ns, instructions, frequency_ghz,
-                        cpi_core, k_mem, alpha, ipc0, open_loop, damping,
-                        tolerance, max_iterations, burstiness,
-                        max_utilization):
-    """JIT-compilable form of the stacked fixed point (plain loops).
-
-    Mirrors the damped solo iteration per lane: window from IPC,
-    per-slot M/D/1 wait, charge-weighted sum, calibrated-CPI target,
-    damped update, per-lane convergence. Compiled with ``numba.njit``
-    when available; never called otherwise. Summation order differs
-    from the BLAS dot of the numpy path, so results agree to ~1e-12
-    rel rather than bit-for-bit (covered by the 1e-9 equivalence
-    suite).
-    """
-    n = bytes_m.shape[0]
-    ipc = ipc0.copy()
-    amat = np.zeros(n, dtype=np.float64)
-    unloaded = np.zeros(n, dtype=np.float64)
-    iterations = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=np.bool_)
-    base = max_utilization / (2.0 * (1.0 - max_utilization))
-    slope = 1.0 / (2.0 * (1.0 - max_utilization) ** 2)
-    for lane in range(n):
-        iteration = 0
-        while True:
-            iteration += 1
-            window = (instructions[lane] / ipc[lane]) / frequency_ghz[lane]
-            if total[lane] == 0.0:
-                amat_ns = local_ns[lane]
-                unloaded_ns = local_ns[lane]
-            else:
-                queueing_ns = 0.0
-                for s in range(n_slots[lane]):
-                    util = bytes_m[lane, s] / (window * capacity_m[lane, s])
-                    if util <= 0.0:
-                        wait = 0.0
-                    elif util < max_utilization:
-                        wait = (service_m[lane, s] * util
-                                / (2.0 * (1.0 - util)))
-                    else:
-                        wait = service_m[lane, s] * (
-                            base + slope * (util - max_utilization)
-                        )
-                    queueing_ns += charge_m[lane, s] * (burstiness * wait)
-                loaded = weighted_unloaded[lane] + queueing_ns
-                amat_ns = loaded / total[lane] + stall[lane]
-                unloaded_ns = weighted_unloaded[lane] / total[lane]
-                amat_ns += penalty[lane]
-                unloaded_ns += penalty[lane]
-            amat[lane] = amat_ns
-            unloaded[lane] = unloaded_ns
-            if open_loop[lane]:
-                iterations[lane] = 0
-                converged[lane] = True
-                break
-            amat_cycles = amat_ns * frequency_ghz[lane]
-            target = 1.0 / (cpi_core[lane]
-                            + k_mem[lane] * amat_cycles ** alpha[lane]
-                            + extra_cpi[lane])
-            new_ipc = damping * target + (1.0 - damping) * ipc[lane]
-            if abs(new_ipc - ipc[lane]) <= tolerance * ipc[lane]:
-                ipc[lane] = new_ipc
-                iterations[lane] = iteration
-                converged[lane] = True
-                break
-            ipc[lane] = new_ipc
-            if iteration >= max_iterations:
-                iterations[lane] = max_iterations
-                converged[lane] = False
-                break
-    return ipc, amat, unloaded, iterations, converged
-
-
-#: Lazily numba-compiled :func:`_batched_lanes_loop`; ``None`` until the
-#: first ``kernel="batched-jit"`` solve, and permanently unavailable
-#: (numpy fallback) when numba cannot be imported.
-_JIT_SOLVER: Optional[Callable] = None
-_JIT_UNAVAILABLE = False
-
-
-def _jit_solver() -> Optional[Callable]:
-    global _JIT_SOLVER, _JIT_UNAVAILABLE
-    if _JIT_UNAVAILABLE:
-        return None
-    if _JIT_SOLVER is None:
-        try:
-            import numba
-        except ImportError:
-            _JIT_UNAVAILABLE = True
-            return None
-        _JIT_SOLVER = numba.njit(cache=False)(_batched_lanes_loop)
-    return _JIT_SOLVER

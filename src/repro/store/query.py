@@ -17,6 +17,7 @@ import sqlite3
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.storefmt import row_to_record, trace_meta_record
+from repro.obs.summary import phase_order
 
 #: A reference to a sweep or trace: row id, or label.
 Ref = Union[int, str]
@@ -337,14 +338,9 @@ def _phase_fold(conn: sqlite3.Connection, trace_id: Optional[int]
         entry[0] += 1
         entry[1] += float(dur_ns or 0)
 
-    def _order(item: Tuple[str, List[float]]) -> Tuple[int, str]:
-        try:
-            return (int(item[0]), item[0])
-        except ValueError:
-            return (1 << 30, item[0])
-
     return [(phase, int(count), total)
-            for phase, (count, total) in sorted(fold.items(), key=_order)]
+            for phase, (count, total) in sorted(
+                fold.items(), key=lambda item: phase_order(item[0]))]
 
 
 def phase_timeline(conn: sqlite3.Connection,

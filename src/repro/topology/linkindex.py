@@ -131,9 +131,9 @@ class LinkIndex:
                       weight: float = 1.0) -> np.ndarray:
         """Dense incidence row of one route's round-trip delay.
 
-        ``row @ wait_ns_vector`` equals the scalar kernel's
-        request+fill queueing sum along the route (DRAM counted once),
-        scaled by ``weight``.
+        ``row @ wait_ns_vector`` equals the per-hop request+fill
+        queueing sum along the route (DRAM counted once), scaled by
+        ``weight``.
         """
         row = np.zeros(self.n_slots, dtype=np.float64)
         compiled = self.compile_route(route)

@@ -122,16 +122,6 @@ class TestValidation:
         assert code == 2
         assert "--run-timeout" in capsys.readouterr().err
 
-    def test_batch_lanes_must_be_positive(self, capsys):
-        assert main(["run", "fig8", "--batch-lanes", "0"]) == 2
-        assert "--batch-lanes" in capsys.readouterr().err
-
-    def test_batch_jobs_must_be_positive(self, capsys, tmp_path):
-        code = main(["export", "--out", str(tmp_path),
-                     "--batch-jobs", "-1"])
-        assert code == 2
-        assert "--batch-jobs" in capsys.readouterr().err
-
 
 class TestRunResume:
     def test_run_resume_skips_completed(self, tmp_path, capsys):

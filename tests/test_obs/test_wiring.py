@@ -27,7 +27,7 @@ class TestSimWiring:
         names = {span["name"] for span in spans}
         assert {"sim.run", "sim.phase", "sim.charge"} <= names
         phase_span = next(s for s in spans if s["name"] == "sim.phase")
-        assert {"phase", "kernel", "loop", "ipc", "iterations",
+        assert {"phase", "loop", "ipc", "iterations",
                 "converged"} <= set(phase_span["attrs"])
 
         timing = [r for r in records

@@ -1,10 +1,11 @@
-"""Golden equivalence of the vectorized and scalar timing kernels.
+"""Golden equivalence of the array timing kernel and the scalar oracle.
 
 The array kernel (route-incidence matrices, whole-vector M/D/1) must be
-numerically indistinguishable from the historical per-route Python loop:
-same AMAT, same IPC, same per-link utilizations, on every workload, on
-both systems, and under faults (each fault state compiles its own
-incidence against its rerouted table).
+numerically indistinguishable from the per-route Python loop of
+:mod:`tests.test_sim.scalar_oracle`: same AMAT, same IPC, same per-link
+utilizations, on every workload, on both systems, under faults (each
+fault state compiles its own incidence against its rerouted table) and
+with replicated pages whose writes pay the coherence penalty.
 """
 
 import numpy as np
@@ -13,23 +14,21 @@ import pytest
 from repro.config import baseline_config, starnuma_config
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.placement import first_touch_placement
+from repro.replication import ReplicationPlan
 from repro.sim import SimulationSetup, Simulator
 from repro.sim.classification import classify_phase
-from repro.sim.timing import FixedPointSettings, PhaseTimingModel
+from repro.sim.timing import PhaseTimingModel
 from repro.topology import POOL_LOCATION
 from repro.workloads import WORKLOADS
+
+from tests.test_sim.scalar_oracle import (
+    ScalarPhaseTimingModel,
+    ScalarSimulator,
+)
 
 RTOL = 1e-9
 
 ALL_WORKLOADS = sorted(WORKLOADS)
-
-
-def scalar_settings() -> FixedPointSettings:
-    return FixedPointSettings(kernel="scalar")
-
-
-def vector_settings() -> FixedPointSettings:
-    return FixedPointSettings(kernel="vector")
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +38,13 @@ def systems():
 
 @pytest.fixture(scope="module")
 def worlds(systems):
-    """One setup + shared calibration per workload (scalar reference)."""
+    """One setup + shared calibration per workload (scalar oracle)."""
     base, _ = systems
     out = {}
     for name in ALL_WORKLOADS:
         setup = SimulationSetup.create(WORKLOADS[name], base,
                                        n_phases=3, seed=7)
-        calibration = Simulator(
-            base, setup, settings=scalar_settings()
-        ).calibrate()
+        calibration = ScalarSimulator(base, setup).calibrate()
         out[name] = (setup, calibration)
     return out
 
@@ -62,15 +59,15 @@ def assert_phases_match(scalar_result, vector_result):
         assert pv.duration_ns == pytest.approx(ps.duration_ns, rel=RTOL)
 
 
-def run_both(system, setup, calibration, faults=None, mode="dynamic"):
-    scalar = Simulator(
-        system, setup, settings=scalar_settings(),
-        faults=FaultSchedule(list(faults)) if faults else None,
-    ).run(calibration=calibration, mode=mode, warmup_phases=1)
-    vector = Simulator(
-        system, setup, settings=vector_settings(),
-        faults=FaultSchedule(list(faults)) if faults else None,
-    ).run(calibration=calibration, mode=mode, warmup_phases=1)
+def run_both(system, setup, calibration, faults=None, mode="dynamic",
+             replication=None):
+    results = []
+    for simulator_class in (ScalarSimulator, Simulator):
+        results.append(simulator_class(
+            system, setup, replication=replication,
+            faults=FaultSchedule(list(faults)) if faults else None,
+        ).run(calibration=calibration, mode=mode, warmup_phases=1))
+    scalar, vector = results
     return scalar, vector
 
 
@@ -107,6 +104,32 @@ class TestFaultedEquivalence:
         assert_phases_match(scalar, vector)
 
 
+class TestReplicatedEquivalence:
+    """Replicated writes add the software-coherence penalty to AMAT."""
+
+    def test_replicated_writes_starnuma(self, systems, worlds):
+        _, star = systems
+        setup, calibration = worlds["tpcc"]
+        population = setup.population
+        replicated = np.zeros(population.n_pages, dtype=bool)
+        replicated[::3] = True
+
+        def plan(penalty_ns):
+            return ReplicationPlan(replicated=replicated,
+                                   extra_copies=int(replicated.sum()),
+                                   write_penalty_ns=penalty_ns)
+
+        scalar, vector = run_both(star, setup, calibration,
+                                  replication=plan(1500.0))
+        assert_phases_match(scalar, vector)
+        # The penalty only adds to AMAT, so every phase with replicated
+        # writes must sit above the same run with free coherence.
+        free = Simulator(star, setup, replication=plan(0.0)).run(
+            calibration=calibration, warmup_phases=1)
+        for charged, uncharged in zip(vector.phases, free.phases):
+            assert charged.unloaded_amat_ns > uncharged.unloaded_amat_ns
+
+
 class TestLinkLoadEquivalence:
     """Every charged link direction, not just the reported top-3."""
 
@@ -121,12 +144,12 @@ class TestLinkLoadEquivalence:
         # block transfers, and tracker charges are all exercised.
         page_map.move(np.arange(0, population.n_pages, 7), POOL_LOCATION)
 
-        models = {}
-        for settings in (scalar_settings(), vector_settings()):
-            sim = Simulator(star, setup, settings=settings)
-            models[settings.kernel] = PhaseTimingModel(
-                star, sim.topology, sim.routes, population, settings
-            )
+        sim = Simulator(star, setup)
+        models = {
+            kernel: model_class(star, sim.topology, sim.routes, population)
+            for kernel, model_class in (("scalar", ScalarPhaseTimingModel),
+                                        ("vector", PhaseTimingModel))
+        }
 
         classification = classify_phase(setup.traces[1].counts, page_map,
                                         population)
@@ -150,11 +173,3 @@ class TestLinkLoadEquivalence:
             rtol=RTOL,
         )
 
-
-class TestKernelSetting:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            FixedPointSettings(kernel="simd")
-
-    def test_defaults_to_vector(self):
-        assert FixedPointSettings().kernel == "vector"

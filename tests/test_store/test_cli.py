@@ -1,6 +1,7 @@
 """The store-facing CLI: store ingest/info, query, obs summary on a db."""
 
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,27 @@ class TestObsSummaryOnStore:
         capsys.readouterr()
         assert main(["obs", "summary", str(db)]) == 0
         assert capsys.readouterr().out == jsonl_rendering
+
+    def test_phase_order_is_numeric_everywhere(self, tmp_path, capsys):
+        """JSONL summary, store summary and query timeline agree past 9."""
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, synthetic_records(n_phases=12))
+        expected = [str(phase) for phase in range(12)]
+
+        def summary_phases(path):
+            assert main(["obs", "summary", str(path)]) == 0
+            return re.findall(r"^phase (\d+) ", capsys.readouterr().out,
+                              flags=re.MULTILINE)
+
+        assert summary_phases(trace) == expected
+        db = tmp_path / "s.sqlite"
+        assert main(["store", "ingest", "--db", str(db), str(trace)]) == 0
+        capsys.readouterr()
+        assert summary_phases(db) == expected
+        assert main(["query", "--db", str(db), "--format", "json",
+                     "timeline"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row[0] for row in rows] == expected
 
     def test_validate_refuses_store(self, tmp_path, capsys):
         db = tmp_path / "s.sqlite"
