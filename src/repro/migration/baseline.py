@@ -15,7 +15,7 @@ good answer for.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -90,57 +90,10 @@ class BaselinePolicy:
         np.add.at(remote_served, current[cols],
                   (totals[cols] - current_count[cols]).astype(np.float64))
 
-        # The destination scan is sequential (each move shifts
-        # ``remote_served`` for later tie-breaks), but the tie structure
-        # is not: precompute, per candidate, which sockets are within 10%
-        # of its peak count. Pages with a single clear winner -- the
-        # common case -- take the precomputed argmax without touching
-        # ``remote_served``, leaving the per-page flatnonzero/argmin work
-        # to the genuinely tied pages only.
-        cand_counts = page_counts[:, candidates]
-        tied = cand_counts >= (cand_counts.max(axis=0) * 0.9)[None, :]
-        tie_degree = tied.sum(axis=0)
-        clear_winner = cand_counts.argmax(axis=0)
-
-        budget = self.config.migration_limit_pages
-        moved_pages = []
-        moved_dest = []
-        for rank, page in enumerate(candidates):
-            if len(moved_pages) >= budget:
-                break
-            if tie_degree[rank] == 1:
-                destination = int(clear_winner[rank])
-            else:
-                near_tied = np.flatnonzero(tied[:, rank])
-                destination = int(
-                    near_tied[np.argmin(remote_served[near_tied])]
-                )
-            source = int(current[page])
-            if destination == source:
-                continue
-            counts = page_counts[:, page]
-            total = float(totals[page])
-            remote_served[source] -= total - float(counts[source])
-            remote_served[destination] += total - float(counts[destination])
-            moved_pages.append(int(page))
-            moved_dest.append(destination)
-            if OBS.enabled:
-                OBS.counter("migration.decisions")
-                OBS.counter("migration.pages_moved")
-                # Per-page provenance is detail-level: the baseline moves
-                # thousands of pages per phase under a scaled budget.
-                OBS.detail(
-                    "migration.decision", policy="baseline",
-                    phase=self.phases_run, page=int(page), pages=1,
-                    source=source, destination=destination,
-                    accesses=total,
-                    current_accesses=float(current_count[page]),
-                    best_accesses=float(best_count[page]),
-                    rule=("dominant-accessor" if tie_degree[rank] == 1
-                          else "tie-balance"),
-                    hysteresis=self.hysteresis,
-                )
-
+        moved_pages, moved_dest = self._scan(
+            page_counts, candidates, current, current_count, best_count,
+            totals, remote_served,
+        )
         if not moved_pages:
             return batch
         OBS.event("migration.batch", policy="baseline",
@@ -156,3 +109,70 @@ class BaselinePolicy:
                                      destination=int(destination)))
             page_map.move(group, int(destination))
         return batch
+
+    def _scan(self, page_counts: np.ndarray, candidates: np.ndarray,
+              current: np.ndarray, current_count: np.ndarray,
+              best_count: np.ndarray, totals: np.ndarray,
+              remote_served: np.ndarray) -> Tuple[List[int], List[int]]:
+        """Pick each candidate's destination, hottest first.
+
+        Returns the moved pages and their destinations in scan order.
+        The scan is sequential (each move shifts ``remote_served`` for
+        later tie-breaks), but the tie structure is not: one pass finds,
+        per candidate, the sockets within 10% of its peak count, in
+        socket order. A page with a single such socket moves there; a
+        tied page goes to the tied socket serving the least remote
+        traffic (the first one on equal loads, as ``argmin`` picks).
+        The walk itself runs on Python scalars -- IEEE double arithmetic
+        is the same as numpy's, so the result is too.
+        """
+        cand_counts = page_counts[:, candidates]
+        tied = cand_counts >= (cand_counts.max(axis=0) * 0.9)[None, :]
+        tied_rank, tied_socket = np.nonzero(tied.T)
+        tied_counts = cand_counts.T[tied_rank, tied_socket].tolist()
+        offsets = np.searchsorted(
+            tied_rank, np.arange(candidates.size + 1)).tolist()
+        tied_socket = tied_socket.tolist()
+        sources = current[candidates]
+        source_counts = page_counts[sources, candidates].tolist()
+        sources = sources.tolist()
+        page_totals = totals[candidates].tolist()
+        served = remote_served.tolist()
+
+        budget = self.config.migration_limit_pages
+        moved_pages: List[int] = []
+        moved_dest: List[int] = []
+        for rank, page in enumerate(candidates.tolist()):
+            if len(moved_pages) >= budget:
+                break
+            low, high = offsets[rank], offsets[rank + 1]
+            slot = low
+            if high - low > 1:
+                near = tied_socket[low:high]
+                slot += near.index(min(near, key=served.__getitem__))
+            destination = tied_socket[slot]
+            source = sources[rank]
+            if destination == source:
+                continue
+            total = float(page_totals[rank])
+            served[source] -= total - float(source_counts[rank])
+            served[destination] += total - float(tied_counts[slot])
+            moved_pages.append(page)
+            moved_dest.append(destination)
+            if OBS.enabled:
+                OBS.counter("migration.decisions")
+                OBS.counter("migration.pages_moved")
+                # Per-page provenance is detail-level: the baseline moves
+                # thousands of pages per phase under a scaled budget.
+                OBS.detail(
+                    "migration.decision", policy="baseline",
+                    phase=self.phases_run, page=page, pages=1,
+                    source=source, destination=destination,
+                    accesses=total,
+                    current_accesses=float(current_count[page]),
+                    best_accesses=float(best_count[page]),
+                    rule=("dominant-accessor" if high - low == 1
+                          else "tie-balance"),
+                    hysteresis=self.hysteresis,
+                )
+        return moved_pages, moved_dest

@@ -54,6 +54,14 @@ class PhaseClassification:
     def block_transfers(self) -> float:
         return float(self.bt_socket.sum() + self.bt_pool.sum())
 
+    def freeze(self) -> "PhaseClassification":
+        """Make every array read-only, so a shared result is never
+        mutated by one of the models that read it."""
+        for array in (self.demand, self.demand_writes, self.bt_socket,
+                      self.bt_pool, self.bt_pool_owner):
+            array.flags.writeable = False
+        return self
+
 
 def block_transfer_fractions(population: PagePopulation) -> np.ndarray:
     """Per-page probability that a miss is served cache-to-cache.

@@ -19,6 +19,7 @@ DRAM queues are shared between directions and counted once).
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -277,6 +278,28 @@ def _compiled_kernel(model: "PhaseTimingModel") -> _VectorKernel:
     return kernel
 
 
+#: Distinct classifications one trace keeps (least recently used go
+#: first). A phase meets a handful of placements per experiment: the
+#: calibration pass and the closed loop share checkpoints, and system
+#: variants often reach content-identical maps.
+CLASSIFICATION_MEMO_ENTRIES = 16
+
+
+def classification_key(page_map: PageMap, population: PagePopulation,
+                       replication: Optional["ReplicationPlan"]) -> tuple:
+    """Memo key of one trace's classification under this placement.
+
+    Classification depends only on the trace, the placement, the
+    population and the replication plan -- never on the system variant
+    being timed. The map enters by content (a digest of its locations),
+    population and plan by identity: the memo entry must hold references
+    to both, so their ids cannot be recycled while the key lives.
+    """
+    digest = hashlib.blake2b(page_map.locations.tobytes(),
+                             digest_size=16).digest()
+    return digest, id(population), id(replication)
+
+
 class PhaseTimingModel:
     """Evaluates the loaded AMAT and IPC of one phase."""
 
@@ -326,9 +349,7 @@ class PhaseTimingModel:
                             loop="open" if fixed_ipc is not None
                             else "closed")
         with obs_span:
-            classification = classify_phase(trace.counts, page_map,
-                                            self.population,
-                                            self.replication)
+            classification = self.classify(trace, page_map)
             with OBS.span("sim.charge", phase=trace.phase):
                 loads = self._build_loads(classification, batch)
             stall_total_ns, extra_cpi = self._migration_overheads(trace,
@@ -396,6 +417,31 @@ class PhaseTimingModel:
             converged=converged,
             hottest_links=hottest,
         )
+
+    def classify(self, trace: PhaseTrace,
+                 page_map: PageMap) -> PhaseClassification:
+        """The phase's access classification under ``page_map``.
+
+        Computed once per distinct (placement, population, replication
+        plan) and kept in the trace's memo; the shared result is
+        read-only.
+        """
+        memo = trace.classifications
+        key = classification_key(page_map, self.population,
+                                 self.replication)
+        entry = memo.get(key)
+        if entry is not None:
+            memo.move_to_end(key)
+            OBS.counter("sim.classify.memo_hit")
+            return entry[0]
+        OBS.counter("sim.classify.memo_miss")
+        classification = classify_phase(trace.counts, page_map,
+                                        self.population,
+                                        self.replication).freeze()
+        memo[key] = (classification, self.population, self.replication)
+        while len(memo) > CLASSIFICATION_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return classification
 
     # -- loading -------------------------------------------------------------
 

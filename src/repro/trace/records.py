@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,11 @@ class PhaseTrace:
     phase: int
     counts: np.ndarray
     instructions_per_thread: int
+    #: Step C's memo of this phase's access classifications, one entry
+    #: per distinct placement (see
+    #: :meth:`repro.sim.timing.PhaseTimingModel.classify`).
+    classifications: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.counts.ndim != 2:

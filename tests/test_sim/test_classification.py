@@ -94,3 +94,134 @@ class TestClassifyPhase:
         page_map = PageMap(np.zeros(10, dtype=np.int16), 16, True)
         with pytest.raises(ValueError):
             classify_phase(trace.counts, page_map, tiny_setup.population)
+
+
+class TestClassificationMemo:
+    @pytest.fixture
+    def world(self, tiny_profile):
+        from repro.config import starnuma_config
+        from repro.placement import first_touch_placement
+        from repro.sim import PhaseTimingModel, SimulationSetup
+        from repro.topology import RouteTable, Topology
+
+        system = starnuma_config()
+        setup = SimulationSetup.create(tiny_profile, system, n_phases=2,
+                                       seed=4)
+        topology = Topology(system)
+        model = PhaseTimingModel(system, topology, RouteTable(topology),
+                                 setup.population)
+        page_map = first_touch_placement(setup.population.sharer_mask, 16,
+                                         True, np.random.default_rng(1))
+        return dict(system=system, setup=setup, model=model,
+                    trace=setup.traces[0], page_map=page_map)
+
+    def test_same_content_returns_identical_object(self, world):
+        model, trace = world["model"], world["trace"]
+        first = model.classify(trace, world["page_map"])
+        assert model.classify(trace, world["page_map"]) is first
+        # A copy with the same locations is the same placement.
+        assert model.classify(trace, world["page_map"].copy()) is first
+        assert len(trace.classifications) == 1
+
+    def test_matches_direct_classification(self, world):
+        model, trace, page_map = (world["model"], world["trace"],
+                                  world["page_map"])
+        memoized = model.classify(trace, page_map)
+        direct = classify_phase(trace.counts, page_map,
+                                model.population)
+        for name in ("demand", "demand_writes", "bt_socket", "bt_pool",
+                     "bt_pool_owner"):
+            assert getattr(memoized, name).tobytes() == \
+                getattr(direct, name).tobytes()
+        assert memoized.total_accesses == direct.total_accesses
+
+    def test_one_page_moved_misses(self, world):
+        model, trace = world["model"], world["trace"]
+        first = model.classify(trace, world["page_map"])
+        moved = world["page_map"].copy()
+        moved.move(np.array([0]), POOL_LOCATION
+                   if moved.location_of(0) != POOL_LOCATION else 1)
+        second = model.classify(trace, moved)
+        assert second is not first
+        assert len(trace.classifications) == 2
+
+    def test_other_replication_plan_misses(self, world):
+        from repro.replication import ReplicationPlan
+        from repro.sim import PhaseTimingModel
+
+        model, trace = world["model"], world["trace"]
+        bare = model.classify(trace, world["page_map"])
+        n_pages = trace.n_pages
+        plans = [ReplicationPlan.empty(n_pages),
+                 ReplicationPlan.empty(n_pages)]
+        results = [
+            PhaseTimingModel(model.system, model.topology, model.routes,
+                             model.population, replication=plan)
+            .classify(trace, world["page_map"])
+            for plan in plans
+        ]
+        assert results[0] is not bare
+        assert results[1] is not results[0]
+        assert len(trace.classifications) == 3
+
+    def test_arrays_are_read_only(self, world):
+        classification = world["model"].classify(world["trace"],
+                                                 world["page_map"])
+        for array in (classification.demand, classification.demand_writes,
+                      classification.bt_socket, classification.bt_pool,
+                      classification.bt_pool_owner):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_memo_is_bounded(self, world):
+        from repro.sim.timing import CLASSIFICATION_MEMO_ENTRIES
+
+        model, trace = world["model"], world["trace"]
+        page_map = world["page_map"].copy()
+        for page in range(CLASSIFICATION_MEMO_ENTRIES + 3):
+            page_map.move(np.array([page]), POOL_LOCATION)
+            model.classify(trace, page_map)
+        assert len(trace.classifications) == CLASSIFICATION_MEMO_ENTRIES
+
+    def test_hit_and_miss_counters(self, world):
+        from repro.obs import OBS, MemorySink, shutdown
+
+        records = []
+        OBS.configure(MemorySink(records))
+        try:
+            for _ in range(3):
+                world["model"].classify(world["trace"], world["page_map"])
+        finally:
+            shutdown()
+        metrics = {r["name"]: r["value"] for r in records
+                   if r["kind"] == "metric"}
+        assert metrics["sim.classify.memo_miss"] == 1
+        assert metrics["sim.classify.memo_hit"] == 2
+
+    def test_cold_and_warm_runs_time_identically(self, tiny_profile,
+                                                 base_system):
+        from repro.config import starnuma_config
+        from repro.sim import SimulationSetup, Simulator
+        from repro.trace import PhaseTrace
+
+        setup = SimulationSetup.create(tiny_profile, base_system,
+                                       n_phases=4, seed=9)
+        calibration = Simulator(base_system, setup).calibrate()
+
+        def timings(setup):
+            return [repr(Simulator(system, setup).run(
+                calibration=calibration, warmup_phases=1).phases)
+                for system in (base_system, starnuma_config())]
+
+        timings(setup)  # fills every trace's memo
+        assert all(trace.classifications for trace in setup.traces)
+        warm = timings(setup)
+        fresh = SimulationSetup(
+            profile=setup.profile, population=setup.population,
+            traces=[PhaseTrace(trace.phase, trace.counts,
+                               trace.instructions_per_thread)
+                    for trace in setup.traces],
+            seed=setup.seed,
+        )
+        assert timings(fresh) == warm
