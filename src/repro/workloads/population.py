@@ -131,6 +131,33 @@ def _class_sizes(profile: WorkloadProfile, n_pages: int) -> np.ndarray:
 SHARER_SET_BLOCK_PAGES = 128
 
 
+def _choice_masks(n: int, k: int, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Bitmasks of ``count`` consecutive ``rng.choice(n, k, replace=False)``.
+
+    For a small population numpy's ``choice`` runs Floyd's algorithm --
+    one bounded draw on ``[0, j]`` for each ``j = n-k .. n-1`` -- and
+    then shuffles the sample with one bounded draw on ``[0, i]`` for each
+    ``i = k-1 .. 1``; a bound of 0 draws nothing. ``rng.integers(0,
+    highs)`` with an array of highs makes the same Lemire draw per
+    element, in order, so one call replays all ``count`` calls and
+    leaves the generator where they would.
+
+    Only the Floyd draws decide the set: a draw ``t`` on ``[0, j]`` adds
+    ``t`` unless it is already taken, in which case it adds ``j`` (never
+    taken, as every earlier member is below ``j``). The shuffle draws
+    only reorder the members, so they are consumed and dropped.
+    """
+    bounds = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(bounds + 1, count))
+    floyd = draws.reshape(count, bounds.size)[:, :k].astype(np.uint32)
+    masks = np.zeros(count, dtype=np.uint32)
+    for column, j in enumerate(range(n - k, n)):
+        drawn = np.uint32(1) << floyd[:, column]
+        masks |= np.where(masks & drawn, np.uint32(1 << j), drawn)
+    return masks
+
+
 def _draw_sharer_masks(cls_sharers: int, affinity: float, size: int,
                        n_sockets: int, sockets_per_chassis: int,
                        rng: np.random.Generator) -> np.ndarray:
@@ -147,8 +174,14 @@ def _draw_sharer_masks(cls_sharers: int, affinity: float, size: int,
     every thread has its own equally hot private working set -- and
     narrow shared classes rotate their member sets deterministically
     across blocks.
+
+    The generator sees the same calls, in the same order, as a per-block
+    ``rng.random()``/``rng.choice`` walk: a class that may be
+    chassis-contained keeps that walk (its ``random`` and ``choice``
+    calls interleave), a wide class replays its per-page ``choice``
+    calls in one draw (:func:`_choice_masks`), and rotation draws
+    nothing.
     """
-    masks = np.zeros(size, dtype=np.uint32)
     n_chassis = n_sockets // sockets_per_chassis
     if cls_sharers == 1:
         # One contiguous, equally sized chunk per socket: threads of the
@@ -158,26 +191,37 @@ def _draw_sharer_masks(cls_sharers: int, affinity: float, size: int,
         return (np.uint32(1) << sockets.astype(np.uint32)).astype(np.uint32)
 
     block = SHARER_SET_BLOCK_PAGES if cls_sharers < 8 else 1
-    for block_index, start in enumerate(range(0, size, block)):
-        contained = (cls_sharers <= sockets_per_chassis
-                     and rng.random() < affinity)
-        if contained:
-            chassis = block_index % n_chassis
-            base = chassis * sockets_per_chassis
-            members = base + rng.choice(sockets_per_chassis,
-                                        size=cls_sharers, replace=False)
-        elif block > 1:
-            # Deterministic rotation: consecutive hot blocks land on
-            # disjoint-ish member sets, covering all sockets uniformly.
-            first = (block_index * cls_sharers) % n_sockets
-            members = (first + np.arange(cls_sharers)) % n_sockets
-        else:
-            members = rng.choice(n_sockets, size=cls_sharers, replace=False)
-        mask = np.uint32(0)
-        for member in members:
-            mask |= np.uint32(1) << np.uint32(member)
-        masks[start:start + block] = mask
-    return masks
+    if block == 1 and cls_sharers > sockets_per_chassis:
+        return _choice_masks(n_sockets, cls_sharers, size, rng)
+
+    # Deterministic rotation for blocks not drawn below: consecutive hot
+    # blocks land on disjoint-ish member sets, covering all sockets
+    # uniformly.
+    n_blocks = -(-size // block)
+    first = (np.arange(n_blocks) * cls_sharers) % n_sockets
+    members = (first[:, None] + np.arange(cls_sharers)) % n_sockets
+    if cls_sharers <= sockets_per_chassis:
+        for block_index in range(n_blocks):
+            if rng.random() < affinity:
+                base = (block_index % n_chassis) * sockets_per_chassis
+                members[block_index] = base + rng.choice(
+                    sockets_per_chassis, size=cls_sharers, replace=False)
+            elif block == 1:
+                members[block_index] = rng.choice(
+                    n_sockets, size=cls_sharers, replace=False)
+    block_masks = np.bitwise_or.reduce(
+        np.uint32(1) << members.astype(np.uint32), axis=1)
+    return np.repeat(block_masks, block)[:size]
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits per ``uint32`` mask (SWAR; ``np.bitwise_count`` is 2.0+)."""
+    bits = masks.astype(np.uint32)
+    bits = bits - ((bits >> np.uint32(1)) & np.uint32(0x55555555))
+    bits = ((bits & np.uint32(0x33333333))
+            + ((bits >> np.uint32(2)) & np.uint32(0x33333333)))
+    bits = (bits + (bits >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
+    return ((bits * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int16)
 
 
 def _class_weights(access_fraction: float, size: int, skew: float,
@@ -217,6 +261,10 @@ def build_population(profile: WorkloadProfile, n_sockets: int = 16,
         raise ValueError(f"unknown layout {layout!r}")
     if n_sockets % sockets_per_chassis:
         raise ValueError("n_sockets must be a multiple of sockets_per_chassis")
+    if n_sockets > 32:
+        raise ValueError(
+            "n_sockets must be at most 32 (sharer masks are uint32)"
+        )
     for cls in profile.sharing:
         if cls.sharers > n_sockets:
             raise ValueError(
@@ -257,9 +305,7 @@ def build_population(profile: WorkloadProfile, n_sockets: int = 16,
         masks, weight = masks[order], weight[order]
         write_fraction, class_id = write_fraction[order], class_id[order]
 
-    sharer_count = np.array(
-        [bin(int(mask)).count("1") for mask in masks], dtype=np.int16
-    )
+    sharer_count = _popcount(masks)
     return PagePopulation(
         profile=profile,
         n_sockets=n_sockets,

@@ -119,6 +119,15 @@ class TestBalance:
             build_population(tiny_profile, n_sockets=10,
                              sockets_per_chassis=4)
 
+    def test_rejects_more_sockets_than_mask_bits(self):
+        # A uint32 mask holds 32 sharers; a 33rd socket would vanish.
+        with pytest.raises(ValueError, match="at most 32"):
+            build_population(get_workload("poa"), n_sockets=40,
+                             sockets_per_chassis=4)
+        population = build_population(get_workload("poa"), n_sockets=32,
+                                      sockets_per_chassis=4)
+        assert population.sharer_count.min() >= 1
+
 
 class TestCharacterization:
     def test_histograms_sum_to_one(self, tiny_population):
